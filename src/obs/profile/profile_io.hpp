@@ -20,7 +20,9 @@
 
 namespace vs::obs {
 
-inline constexpr std::uint32_t kProfileFormatVersion = 1;
+/// v2 shrinks the domain table by two entries (window, barrier); v1
+/// sidecars are refused as an incompatible build.
+inline constexpr std::uint32_t kProfileFormatVersion = 2;
 
 /// Write/read the binary sidecar. Readers throw vs::Error on any
 /// malformation (the sidecar is written atomically at run end; there is

@@ -3,7 +3,7 @@
 //
 // Every quantitative result in the benches is a sweep over *independent*
 // simulation worlds — different seeds, grid sides, evader models.
-// TrialPool runs those trials on N threads with static shard-by-trial-index
+// TrialPool runs those trials on N threads with static by-trial-index
 // assignment (worker w owns trials w, w+N, w+2N, …; no work stealing, no
 // shared mutable state) and hands results back ordered by trial index, so
 // the merged output is bit-identical for every --jobs value.
@@ -36,15 +36,6 @@ namespace vs::runner {
 /// a splitmix64 mix, so neighbouring trials get uncorrelated streams.
 [[nodiscard]] std::uint64_t trial_seed(std::uint64_t base, std::size_t trial);
 
-/// Thread budget for sweeps whose trials are themselves sharded
-/// (TrackingNetwork::set_shards): each trial runs `shards` lane threads,
-/// so the pool width is clamped to hardware_concurrency() / shards
-/// (floored at 1) to keep jobs × shards within the machine. Shards win the
-/// budget fight — intra-world lanes block on each other at every window
-/// barrier, so starving them costs more than narrowing the trial pool.
-/// Logs a warning when it clamps; `jobs` = 0 means default_jobs().
-[[nodiscard]] int clamp_jobs_for_shards(int jobs, int shards);
-
 class TrialPool {
  public:
   /// jobs = 0 picks default_jobs(); jobs = 1 runs inline on the caller
@@ -68,7 +59,7 @@ class TrialPool {
     std::vector<std::exception_ptr> errors(n);
     const std::size_t workers =
         std::min(n, static_cast<std::size_t>(jobs_));
-    const auto shard = [&](std::size_t w) {
+    const auto work = [&](std::size_t w) {
       for (std::size_t i = w; i < n; i += workers) {
         set_log_trial(static_cast<int>(i));  // attribute this trial's logs
         try {
@@ -80,14 +71,14 @@ class TrialPool {
       set_log_trial(-1);
     };
     if (workers <= 1) {
-      shard(0);
+      work(0);
     } else {
       std::vector<std::thread> threads;
       threads.reserve(workers - 1);
       for (std::size_t w = 1; w < workers; ++w) {
-        threads.emplace_back(shard, w);
+        threads.emplace_back(work, w);
       }
-      shard(0);  // the calling thread takes shard 0
+      work(0);  // the calling thread is worker 0
       for (auto& t : threads) t.join();
     }
     for (std::size_t i = 0; i < n; ++i) {

@@ -112,22 +112,6 @@ bool CGcast::process_alive(ClusterId to) const {
 
 void CGcast::enqueue(ClusterId from, ClusterId to, const Message& m,
                      sim::Duration delay) {
-  if (shard_map_ != nullptr) {
-    // Sharded world: route the delivery into the destination cluster's
-    // lane. Inside a parallel window the shared in-flight map is off
-    // limits (other lanes run concurrently), so no row is booked (key 0);
-    // rows booked in serial context but delivered inside a later window
-    // are purged at the barrier.
-    std::uint64_t key = 0;
-    if (!sim::in_parallel_lane()) {
-      key = next_key_++;
-      in_flight_.emplace(key, InTransit{m, from, to, sched_->now() + delay});
-    }
-    sched_->schedule_cross(
-        shard_map_->lane_of_cluster(to), delay,
-        [this, key, from, to, m] { deliver_sharded(key, from, to, m); });
-    return;
-  }
   const std::uint64_t key = next_key_++;
   in_flight_.emplace(key, InTransit{m, from, to, sched_->now() + delay});
   sched_->schedule_after(delay,
@@ -235,16 +219,6 @@ void CGcast::broadcast_to_clients(ClusterId from_level0, const Message& m) {
     record(obs::TraceKind::kBroadcast, m, from_level0.value(), region.value(),
            0, 1);
   }
-  if (shard_map_ != nullptr) {
-    // The region's clients share the level-0 cluster's lane (ShardMap's
-    // colocation invariant), so this never crosses a lane — and the δ+e
-    // delay meets the lookahead anyway.
-    sched_->schedule_cross(shard_map_->lane_of_region(region),
-                           config_.delta + config_.e, [this, region, m] {
-                             if (client_sink_) client_sink_(region, m);
-                           });
-    return;
-  }
   sched_->schedule_after(config_.delta + config_.e, [this, region, m] {
     if (client_sink_) client_sink_(region, m);  // rule (d)
   });
@@ -257,28 +231,6 @@ void CGcast::deliver_to_tracker(std::uint64_t key, ClusterId to,
     from = it->second.from;
     in_flight_.erase(it);
   }
-  deliver_common(from, to, m);
-}
-
-void CGcast::deliver_sharded(std::uint64_t key, ClusterId from, ClusterId to,
-                             const Message& m) {
-  // Erase the in-flight row only from serial context; rows delivered
-  // inside a parallel window are purged at the barrier instead.
-  if (key != 0 && !sim::in_parallel_lane()) in_flight_.erase(key);
-  deliver_common(from, to, m);
-}
-
-void CGcast::purge_delivered(sim::TimePoint now) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->second.deliver_at <= now) {
-      it = in_flight_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void CGcast::deliver_common(ClusterId from, ClusterId to, const Message& m) {
   if (!process_alive(to)) {
     ++dropped_;
     if (obs::kTraceCompiled && trace_ != nullptr && trace_->enabled()) {

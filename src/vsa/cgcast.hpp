@@ -29,7 +29,6 @@
 #include "sim/scheduler.hpp"
 #include "stats/counters.hpp"
 #include "vsa/messages.hpp"
-#include "vsa/shard_map.hpp"
 
 namespace vs::vsa {
 
@@ -93,27 +92,6 @@ class CGcast {
   void set_channel_faults(ChannelFaults faults) {
     channel_faults_ = std::move(faults);
   }
-  /// True while a channel-fault oracle is installed (the sharded
-  /// executor's eligibility gate consults this: faulted channels need the
-  /// serial path's single global interleaving).
-  [[nodiscard]] bool has_channel_faults() const {
-    return static_cast<bool>(channel_faults_);
-  }
-
-  /// Attach the sharded world's partition (nullptr detaches). While set,
-  /// deliveries are routed into the destination cluster's lane queue via
-  /// Scheduler::schedule_cross, and inside parallel windows the shared
-  /// in-flight bookkeeping is skipped (purged at each barrier instead).
-  /// The map must outlive the attachment.
-  void set_shard_map(const ShardMap* map) { shard_map_ = map; }
-
-  /// Barrier hook for sharded worlds: drop in-flight rows whose delivery
-  /// time has passed. In a parallel-eligible world (no loss, no faults,
-  /// no failed VSAs) a row with deliver_at <= now was necessarily
-  /// delivered inside a window — where lane threads must not touch the
-  /// shared map — so this is an exact, deferred form of the erase the
-  /// serial path does at delivery.
-  void purge_delivered(sim::TimePoint now);
 
   ObserverId add_send_observer(SendObserver obs);
   /// Detaches a previously added observer. Observers whose owner may die
@@ -187,15 +165,9 @@ class CGcast {
   }
 
  private:
+  /// Delivery of one booked in-flight message: erase its row, then the
+  /// liveness check, trace records, and the tracker-sink handoff.
   void deliver_to_tracker(std::uint64_t key, ClusterId to, const Message& m);
-  /// Sharded delivery: `from` travels in the closure (the in-flight row
-  /// may already be gone), `key` is 0 for sends issued inside a parallel
-  /// window (no row was booked).
-  void deliver_sharded(std::uint64_t key, ClusterId from, ClusterId to,
-                       const Message& m);
-  /// Liveness check, trace records, and the tracker-sink handoff shared by
-  /// both delivery paths.
-  void deliver_common(ClusterId from, ClusterId to, const Message& m);
   /// Books one in-flight entry and schedules its delivery.
   void enqueue(ClusterId from, ClusterId to, const Message& m,
                sim::Duration delay);
@@ -231,7 +203,6 @@ class CGcast {
   obs::TraceRecorder* trace_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   obs::OpId ambient_op_ = obs::kBackgroundOp;
-  const ShardMap* shard_map_ = nullptr;
 
   std::map<std::uint64_t, InTransit> in_flight_;  // key: send sequence
   std::uint64_t next_key_{1};
