@@ -74,6 +74,19 @@ TEST(Cli, ErrorsAreReportedNotFatal) {
   EXPECT_NE(out.find("tracking path"), std::string::npos) << out;
 }
 
+TEST(Cli, SweepBeforeWorldIsAnError) {
+  // The sweep shares the session's hierarchy, so it must refuse to run
+  // before `world` built one, and the session must go on afterwards.
+  const std::string out = run_cli(
+      "sweep 2 2 1\n"
+      "world 9 3\n"
+      "sweep 2 2 1\n"
+      "quit\n");
+  EXPECT_NE(out.find("error:"), std::string::npos) << out;
+  EXPECT_NE(out.find("first"), std::string::npos) << out;
+  EXPECT_NE(out.find("sweep total:"), std::string::npos) << out;
+}
+
 TEST(Cli, WalkCommand) {
   const std::string out = run_cli(
       "world 27 3\n"
