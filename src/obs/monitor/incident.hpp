@@ -10,12 +10,12 @@
 // detection. `vinestalk_trace incident` pretty-prints bundles and
 // `--replay` re-executes the scenario deterministically.
 //
-// On-disk layout (native byte order, like VSTRACE1 — a run artifact, not
-// an interchange format):
+// On-disk layout: the shared frame layout of common/codec.hpp (magic
+// "VSINCID1", a counted trailer) holding one CRC32C-checked bundle frame
+// (type 1). Strings are u32 length + bytes; counts are u32, checked
+// against the bytes left in the frame before anything is allocated.
 //
-//   bytes 0..7   magic "VSINCID1"
-//   u32          format version (kIncidentFormatVersion)
-//   str          source        (u32 length + bytes, no terminator)
+//   str          source
 //   i32          target id
 //   violation:   str predicate, str detail, i64 time_us, i32 cluster,
 //                i32 level
@@ -23,26 +23,18 @@
 //   scenario:    i32 side, i32 base, u8 lateral_links, u8 vsa_failures,
 //                u8 replayable, i32 clients_per_region, i32 start_region,
 //                u64 seed, i32 steps, u32 corruption count,
-//                per corruption: 5 × i32 (cluster, c, p, nbrptup, nbrptdown)
-//   v2 scenario: str fault_plan, i64 step_every_us, i64 settle_us,
-//                i64 heartbeat_period_us, i64 t_restart_us (readers accept
-//                v1 files, where these default to empty/zero)
-//   v3 fields:   f64 timer_scale, u8 audit, f64 audit_slack (readers
-//                accept v1/v2 files, defaulting to 1.0 / off / 2.0)
-//   v4 field:    i64 audit_window_us (readers accept v1–v3 files, where
-//                it defaults to 0 = whole-ledger audit)
-//   v5 fields:   str scenario.slo_spec (the `slo v1` objective text the
+//                per corruption: 5 × i32 (cluster, c, p, nbrptup, nbrptdown),
+//                str fault_plan, i64 step_every_us, i64 settle_us,
+//                i64 heartbeat_period_us, i64 t_restart_us, f64 timer_scale
+//   audit:       u8 audit, f64 audit_slack, i64 audit_window_us
+//   slo:         str scenario.slo_spec (the `slo v1` objective text the
 //                run was armed with), str slo_state_json (per-objective
 //                burn-window state at fire time), u32 exemplar count +
 //                per exemplar: u8 class, u32 op, i64 t_us, i64 latency_ns,
-//                i64 distance (readers accept v1–v4 files, defaulting to
-//                empty — no SLO monitor was attached)
+//                i64 distance
 //   str          config_json
 //   str          metrics_json
-//   ring:        u64 event count + count × obs::TraceEvent (raw 64 bytes;
-//                v1/v2 rings hold the legacy 56-byte records and are
-//                widened with op = 0 on read)
-//   trailer:     bytes "VSINCEND"
+//   ring:        u32 event count + count × obs::TraceEvent (raw 64 bytes)
 //
 // Everything in a bundle derives from virtual time and world-local state,
 // so two runs of the same scenario — at any --jobs value — serialize to
@@ -57,7 +49,7 @@
 
 namespace vs::obs {
 
-inline constexpr std::uint32_t kIncidentFormatVersion = 5;
+inline constexpr std::uint32_t kIncidentFormatVersion = 6;
 
 /// How the watchdog samples the invariants (see watchdog.hpp for the cost
 /// model of each mode).
@@ -111,8 +103,7 @@ struct ScenarioSpec {
   /// Replay re-parses and arms it, so incidents captured under injected
   /// faults reproduce the same fault sequence exactly.
   std::string fault_plan;
-  /// Walk pacing: 0 = drain between moves (move_and_quiesce, the v1
-  /// behavior); > 0 = advance that much virtual time per step (required
+  /// Walk pacing: 0 = drain between moves (move_and_quiesce); > 0 = advance that much virtual time per step (required
   /// for fault plans — draining would fast-forward through the windows).
   std::int64_t step_every_us = 0;
   /// Virtual time to run after the walk before draining (repair settle).
@@ -167,7 +158,7 @@ struct IncidentBundle {
   bool audit = false;
   double audit_slack = 2.0;
   /// Trailing-window length the sliding-window audit ran at (0 =
-  /// whole-ledger audit at quiescent checks — the pre-v4 behaviour).
+  /// whole-ledger audit at quiescent checks).
   std::int64_t audit_window_us = 0;
   ScenarioSpec scenario;
   std::string config_json;   // world configuration at detection
@@ -183,8 +174,8 @@ struct IncidentBundle {
 void write_incident(std::ostream& os, const IncidentBundle& b);
 void write_incident_file(const std::string& path, const IncidentBundle& b);
 
-/// Throws vs::Error on bad magic/version/truncation (same hardening
-/// contract as trace_io: a short or corrupt file fails loudly).
+/// Throws vs::Error on any malformation (same codec and contract as
+/// trace_io: a short or corrupt file fails loudly).
 [[nodiscard]] IncidentBundle read_incident(std::istream& is);
 [[nodiscard]] IncidentBundle read_incident_file(const std::string& path);
 

@@ -1,39 +1,23 @@
 #include "obs/profile/profile_io.hpp"
 
-#include <cstring>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
-#include <type_traits>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'P', 'R', 'O', 'F', '1', '\0'};
-constexpr char kEndMagic[8] = {'V', 'S', 'P', 'R', 'F', 'E', 'N', 'D'};
-// A profiled run produces at most a few dozen distinct paths/ops and one
-// snapshot per ~4096 events; anything past these caps is a corrupt file.
-constexpr std::uint32_t kMaxRows = 1u << 20;
-
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
-
-template <class T>
-void get(const char*& p, const char* end, T& v, const std::string& path) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(T),
-             "truncated profile sidecar " << path);
-  std::memcpy(&v, p, sizeof(T));
-  p += sizeof(T);
-}
+constexpr std::uint8_t kReportTag = 1;
+constexpr codec::TagRule kTags[] = {{kReportTag, 0, UINT32_MAX}};
+constexpr codec::Format kFormat{{"VSPROF1\0", 8}, kProfileFormatVersion,
+                                "VSPROF1", kTags};
+/// Encoded sizes of one path, op, and snapshot row.
+constexpr std::size_t kPathBytes = sizeof(ProfPath) + 2 * 8;
+constexpr std::size_t kOpBytes = sizeof(OpId) + 4 * 8;
+constexpr std::size_t kSnapshotBytes = 8 + kProfDomains * 8;
 
 std::string domain_label(std::size_t d) {
   return std::string(to_string(static_cast<ProfDomain>(d)));
@@ -43,9 +27,10 @@ std::string domain_label(std::size_t d) {
 
 void write_profile_file(const std::string& path,
                         const ProfileReport& report) {
+  using codec::put;
   std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  put(buf, kProfileFormatVersion);
+  codec::put_header(buf, kFormat);
+  const std::size_t at = codec::begin_frame(buf, kReportTag);
   put(buf, static_cast<std::uint32_t>(kProfDomains));
   put(buf, static_cast<std::uint32_t>(kProfMsgKinds));
   put(buf, static_cast<std::uint32_t>(kProfOpClasses));
@@ -82,68 +67,58 @@ void write_profile_file(const std::string& path,
       put(buf, row.domain_self_ns[d]);
     }
   }
-  buf.append(kEndMagic, sizeof(kEndMagic));
-
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  VS_REQUIRE(os.good(), "cannot write profile sidecar " << path);
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  VS_REQUIRE(os.good(), "short write on profile sidecar " << path);
+  codec::end_frame(buf, at);
+  codec::put_trailer(buf, 1);
+  codec::write_file(path, buf);
 }
 
 ProfileReport read_profile_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  VS_REQUIRE(in.good(), "cannot open profile sidecar " << path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const char* p = data.data();
-  const char* end = p + data.size();
-  VS_REQUIRE(static_cast<std::size_t>(end - p) >= sizeof(kMagic) &&
-                 std::memcmp(p, kMagic, sizeof(kMagic)) == 0,
-             "not a VSPROF1 profile sidecar: " << path);
-  p += sizeof(kMagic);
-  std::uint32_t version = 0, domains = 0, kinds = 0, classes = 0;
-  get(p, end, version, path);
-  VS_REQUIRE(version == kProfileFormatVersion,
-             "unsupported profile format version " << version);
-  get(p, end, domains, path);
-  get(p, end, kinds, path);
-  get(p, end, classes, path);
-  VS_REQUIRE(domains == kProfDomains && kinds == kProfMsgKinds &&
-                 classes == kProfOpClasses,
-             "profile sidecar " << path
-                                << " was written by an incompatible build");
   ProfileReport r;
-  get(p, end, r.total_ns, path);
-  get(p, end, r.wall_ns, path);
-  get(p, end, r.scopes, path);
-  get(p, end, r.total_work, path);
-  get(p, end, r.total_msgs, path);
-  for (std::size_t d = 0; d < kProfDomains; ++d) {
-    get(p, end, r.domain_self_ns[d], path);
-  }
-  std::uint32_t n = 0;
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible path count in " << path);
-  r.paths.resize(n);
-  for (ProfilePathStat& s : r.paths) {
-    get(p, end, s.path, path);
-    get(p, end, s.self_ns, path);
-    get(p, end, s.count, path);
-  }
-  for (std::size_t k = 0; k < kProfMsgKinds; ++k) {
-    get(p, end, r.msgs[k].ns, path);
-    get(p, end, r.msgs[k].count, path);
-  }
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible op count in " << path);
-  r.ops.resize(n);
-  for (ProfileOpStat& s : r.ops) {
-    get(p, end, s.op, path);
-    get(p, end, s.ns, path);
-    get(p, end, s.count, path);
-    get(p, end, s.work, path);
-    get(p, end, s.msgs, path);
-  }
+  int frames = 0;
+  codec::read_file(path, kFormat, [&](std::uint8_t, codec::Reader& in) {
+    ++frames;
+    const auto domains = in.get<std::uint32_t>();
+    const auto kinds = in.get<std::uint32_t>();
+    const auto classes = in.get<std::uint32_t>();
+    VS_REQUIRE(domains == kProfDomains && kinds == kProfMsgKinds &&
+                   classes == kProfOpClasses,
+               "profile sidecar " << path
+                                  << " was written by an incompatible build");
+    r.total_ns = in.get<std::uint64_t>();
+    r.wall_ns = in.get<std::uint64_t>();
+    r.scopes = in.get<std::uint64_t>();
+    r.total_work = in.get<std::int64_t>();
+    r.total_msgs = in.get<std::int64_t>();
+    for (std::uint64_t& ns : r.domain_self_ns) ns = in.get<std::uint64_t>();
+    r.paths.resize(in.get_count(kPathBytes));
+    for (ProfilePathStat& s : r.paths) {
+      s.path = in.get<ProfPath>();
+      s.self_ns = in.get<std::uint64_t>();
+      s.count = in.get<std::uint64_t>();
+    }
+    for (ProfileMsgStat& m : r.msgs) {
+      m.ns = in.get<std::uint64_t>();
+      m.count = in.get<std::uint64_t>();
+    }
+    r.ops.resize(in.get_count(kOpBytes));
+    for (ProfileOpStat& s : r.ops) {
+      s.op = in.get<OpId>();
+      s.ns = in.get<std::uint64_t>();
+      s.count = in.get<std::uint64_t>();
+      s.work = in.get<std::int64_t>();
+      s.msgs = in.get<std::int64_t>();
+    }
+    r.snapshots.resize(in.get_count(kSnapshotBytes));
+    for (ProfileSnapshotRow& row : r.snapshots) {
+      row.t_us = in.get<std::int64_t>();
+      for (std::uint64_t& ns : row.domain_self_ns) {
+        ns = in.get<std::uint64_t>();
+      }
+    }
+  });
+  VS_REQUIRE(frames == 1, "corrupt profile sidecar " << path << ": "
+                                                     << frames
+                                                     << " report frames");
   for (const ProfileOpStat& s : r.ops) {
     auto& c = r.classes[static_cast<std::size_t>(op_class(s.op))];
     c.ns += s.ns;
@@ -151,18 +126,6 @@ ProfileReport read_profile_file(const std::string& path) {
     c.work += s.work;
     c.msgs += s.msgs;
   }
-  get(p, end, n, path);
-  VS_REQUIRE(n <= kMaxRows, "implausible snapshot count in " << path);
-  r.snapshots.resize(n);
-  for (ProfileSnapshotRow& row : r.snapshots) {
-    get(p, end, row.t_us, path);
-    for (std::size_t d = 0; d < kProfDomains; ++d) {
-      get(p, end, row.domain_self_ns[d], path);
-    }
-  }
-  VS_REQUIRE(static_cast<std::size_t>(end - p) == sizeof(kEndMagic) &&
-                 std::memcmp(p, kEndMagic, sizeof(kEndMagic)) == 0,
-             "profile sidecar " << path << " has no end marker");
   return r;
 }
 

@@ -20,13 +20,12 @@
 
 namespace vs::obs {
 
-/// v2 shrinks the domain table by two entries (window, barrier); v1
-/// sidecars are refused as an incompatible build.
-inline constexpr std::uint32_t kProfileFormatVersion = 2;
+inline constexpr std::uint32_t kProfileFormatVersion = 3;
 
-/// Write/read the binary sidecar. Readers throw vs::Error on any
-/// malformation (the sidecar is written atomically at run end; there is
-/// no tail mode).
+/// Write/read the binary sidecar: the shared frame layout of
+/// common/codec.hpp (magic "VSPROF1\0") holding one CRC32C-checked report
+/// frame. Readers throw vs::Error on any malformation (the sidecar is
+/// written atomically at run end; there is no tail mode).
 void write_profile_file(const std::string& path, const ProfileReport& report);
 [[nodiscard]] ProfileReport read_profile_file(const std::string& path);
 

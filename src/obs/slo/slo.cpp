@@ -20,10 +20,15 @@ std::vector<std::int64_t> ns_per_d_bounds() {
   return log2_bounds(1, std::int64_t{1} << 30);
 }
 
+/// Exemplars kept per request class.
 constexpr std::size_t kMaxExemplars = 8;
 
+/// Spec integers stay below 10^15 (over 11 days in ns), so unit and
+/// decimal scaling never overflows and every canonical value re-parses.
+constexpr std::int64_t kMaxSpecValue = 999'999'999'999'999;
+
 std::int64_t parse_int(const std::string& tok, const char* what) {
-  VS_REQUIRE(!tok.empty() &&
+  VS_REQUIRE(!tok.empty() && tok.size() <= 15 &&
                  tok.find_first_not_of("0123456789") == std::string::npos,
              "slo spec: bad " << what << " '" << tok << "'");
   return std::stoll(tok);
@@ -104,6 +109,8 @@ std::int64_t parse_target(const std::string& tok) {
   if (suffix == "us") scale = 1'000;
   if (suffix == "ms") scale = 1'000'000;
   VS_REQUIRE(scale != 0, "slo spec: bad target unit '" << suffix << "'");
+  VS_REQUIRE(v <= kMaxSpecValue / scale,
+             "slo spec: target '" << tok << "' out of range");
   return v * scale;
 }
 
@@ -344,11 +351,24 @@ void SloMonitor::consider_exemplar(SloClass cls, std::int64_t latency_ns,
                 .t_us = t_us,
                 .latency_ns = latency_ns,
                 .distance = distance};
+  std::vector<SloExemplar>& list = exemplars_[static_cast<std::size_t>(cls)];
   const auto pos = std::find_if(
-      exemplars_.begin(), exemplars_.end(),
+      list.begin(), list.end(),
       [&](const SloExemplar& x) { return x.latency_ns < latency_ns; });
-  exemplars_.insert(pos, e);
-  if (exemplars_.size() > kMaxExemplars) exemplars_.pop_back();
+  list.insert(pos, e);
+  if (list.size() > kMaxExemplars) list.pop_back();
+}
+
+std::vector<SloExemplar> SloMonitor::all_exemplars() const {
+  std::vector<SloExemplar> all;
+  for (const std::vector<SloExemplar>& list : exemplars_) {
+    all.insert(all.end(), list.begin(), list.end());
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const SloExemplar& a, const SloExemplar& b) {
+                     return a.latency_ns > b.latency_ns;
+                   });
+  return all;
 }
 
 void SloMonitor::close_update(std::uint64_t t0_ns, std::int64_t t_us) {
@@ -498,7 +518,12 @@ void SloMonitor::fire(std::size_t obj, std::int64_t t_us) {
   b.violation.detail = detail.str();
   b.scenario = scenario_;
   b.slo_state_json = state_json();
-  b.slo_exemplars = exemplars_;
+  // A class objective's incident carries that class's exemplars; the
+  // availability objective spans every class.
+  b.slo_exemplars =
+      obj < spec_.objectives.size()
+          ? exemplars_[static_cast<std::size_t>(spec_.objectives[obj].cls)]
+          : all_exemplars();
   if (sink_) sink_(b);
 }
 
@@ -544,7 +569,7 @@ SloReport SloMonitor::report() const {
   for (std::size_t i = 0; i < windows_.size(); ++i) {
     rep.objectives.push_back(objective_state(i));
   }
-  rep.exemplars = exemplars_;
+  rep.exemplars = all_exemplars();
   return rep;
 }
 

@@ -151,7 +151,7 @@ struct SloReport {
   /// Only bands with samples; .first is the slo_find_band index.
   std::vector<std::pair<std::uint32_t, Histogram>> find_bands;
   std::vector<SloObjectiveState> objectives;
-  std::vector<SloExemplar> exemplars;  // slowest first
+  std::vector<SloExemplar> exemplars;  // every class's, slowest first
 
   /// Error budget left in the long window, in milli of the budget
   /// (1000 = untouched, 0 = fully burned), for objective i.
@@ -261,6 +261,8 @@ class SloMonitor {
   [[nodiscard]] std::int64_t burn_centi(std::size_t obj, std::int64_t bad,
                                         std::int64_t req) const;
   [[nodiscard]] SloObjectiveState objective_state(std::size_t i) const;
+  /// Every class's exemplars, slowest first.
+  [[nodiscard]] std::vector<SloExemplar> all_exemplars() const;
   void fire(std::size_t obj, std::int64_t t_us);
 
   SloSpec spec_;
@@ -278,7 +280,9 @@ class SloMonitor {
   /// windows_[i] tracks spec_.objectives[i]; the optional availability
   /// objective rides behind them (index spec_.objectives.size()).
   std::vector<BurnWindow> windows_;
-  std::vector<SloExemplar> exemplars_;  // slowest first, capped
+  /// Per class, slowest first, capped — slow spans of one class never
+  /// crowd another class's exemplars out of its incidents.
+  std::array<std::vector<SloExemplar>, kSloClasses> exemplars_;
   std::int64_t last_t_us_ = 0;
 };
 

@@ -10,8 +10,10 @@
 //  * Prometheus gauges (vinestalk_slo_* with per-objective burn rates —
 //    the live exporter appends these when a monitor is bound),
 //  * a CSV of latency-histogram buckets (`vinestalk_trace slo --csv`).
-// The sidecar is written atomically at run end; readers throw vs::Error
-// on any malformation, and there is no tail mode.
+// The sidecar is the shared frame layout of common/codec.hpp (magic
+// "VSSLO1\0\0") holding one CRC32C-checked report frame. It is written
+// atomically at run end; readers throw vs::Error on any malformation, and
+// there is no tail mode.
 
 #include <iosfwd>
 #include <string>
@@ -20,7 +22,7 @@
 
 namespace vs::obs {
 
-inline constexpr std::uint32_t kSloFormatVersion = 1;
+inline constexpr std::uint32_t kSloFormatVersion = 2;
 
 void write_slo_file(const std::string& path, const SloReport& report);
 [[nodiscard]] SloReport read_slo_file(const std::string& path);

@@ -38,7 +38,6 @@ TelemetrySampler::TelemetrySampler(tracking::TrackingNetwork& net,
       latency_(std::span<const std::int64_t>(kLatencyBounds)) {
   VS_REQUIRE(cfg_.cadence > sim::Duration::zero(),
              "telemetry cadence must be positive, got " << cfg_.cadence);
-  header_.version = kTelemetryFormatVersion;
   header_.cadence_us = cfg_.cadence.count();
   header_.max_level =
       static_cast<std::uint32_t>(net_->counters().max_level());

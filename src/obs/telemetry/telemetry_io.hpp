@@ -1,29 +1,20 @@
 #pragma once
 // VSTELEM1 — the compact binary time-series telemetry stream.
 //
-// A telemetry file is a header, a run of delta-encoded samples, and a
-// trailer:
+// A telemetry file is the shared frame layout of common/codec.hpp (magic
+// "VSTELEM1", CRC32C-checked frames, a counted trailer) with two frame
+// types:
 //
-//   "VSTELEM1"            8-byte magic
-//   u32 version           kTelemetryFormatVersion
-//   u32 flags             always 0 (readers reject any other value)
-//   i64 cadence_us        virtual-time sampling cadence
-//   u32 reserved          always 0 (readers reject any other value)
-//   u32 max_level         hierarchy depth of the per-level section
-//   u32 series            values per sample (consistency check; the
-//                         layout itself is fixed by version)
-//   --- per sample ---
-//   u8  0xA5              sample marker
-//   varint t_us           boundary time, delta vs the previous sample
-//   varint × series       values, each delta vs the previous sample
-//   --- trailer ---
-//   u8  0x5A              trailer marker
-//   u64 sample count
-//   "VSTELEND"            8-byte end magic
+//   type 1 header:  i64 cadence_us (virtual-time sampling cadence),
+//                   u32 max_level (hierarchy depth of the per-level
+//                   section), u32 series (values per sample) — first
+//                   frame, exactly once
+//   type 2 sample:  varint t_us (boundary time, delta vs the previous
+//                   sample), varint × series (values, each delta vs the
+//                   previous sample)
 //
 // Varints are ZigZag + LEB128 (protobuf-style), so near-constant series
-// cost one byte per sample. Integers are native-endian like every other
-// vinestalk artifact (same-machine write/read).
+// cost one byte per sample.
 //
 // Records enter the stream whole and the sampler flush()es at every
 // cadence boundary, which is what makes the file *tailable*:
@@ -32,7 +23,9 @@
 // in the stream buffer — flushing per sample made the flush syscall the
 // dominant enabled-path cost.) Two read modes match:
 // strict (trailer required — artifact verification) and tail (tolerant
-// of a truncated final record — live dashboards).
+// of a truncated final record — live dashboards). Both check every
+// frame's CRC, so even a tail read yields only a prefix of the samples
+// written, never an altered one.
 //
 // Determinism doctrine: every series derives from virtual time and
 // world-local state sampled at cadence boundaries, where the world holds
@@ -48,15 +41,10 @@
 
 namespace vs::obs {
 
-/// v1: the PR-7 layout. v2 appends the ingest-daemon block (8 series) to
-/// the fixed scalars; v3 appends the serve-RPC block (6 series) after it.
-/// The reader accepts older files by widening each sample with zeros at
-/// the missing blocks, so callers only ever see the current layout (the
-/// same forward-compatibility idiom as the VSTRACE1 v2→v3 reader).
-inline constexpr std::uint32_t kTelemetryFormatVersion = 3;
-/// Series count of the v2 ingest block (kTsIngestBase..kTsServeBase).
+inline constexpr std::uint32_t kTelemetryFormatVersion = 4;
+/// Series count of the ingest block (kTsIngestBase..kTsServeBase).
 inline constexpr std::uint32_t kTsIngestSeriesCount = 8;
-/// Series count of the v3 serve-RPC block (kTsServeBase..kTsFixedCount).
+/// Series count of the serve-RPC block (kTsServeBase..kTsFixedCount).
 inline constexpr std::uint32_t kTsServeSeriesCount = 6;
 
 /// Offsets of the fixed scalar series inside TelemetrySample::values.
@@ -85,12 +73,12 @@ enum TelemetrySeries : std::size_t {
   /// Trailing-window audit ratios ×1000 (move work, move time, max find
   /// work, max find time); zero when no auditor is attached.
   kTsAuditBase = kTsLedgerBase + 12,
-  /// Ingest-daemon block (v2; kTsIngestSeriesCount series): ingested,
+  /// Ingest-daemon block (kTsIngestSeriesCount series): ingested,
   /// applied, suppressed, dropped, shed_tier1/2/3_entries,
   /// queue_depth_peak — stats::IngestCounters order. Zero outside
   /// vinestalk_served runs.
   kTsIngestBase = kTsAuditBase + 4,
-  /// Serve-RPC block (v3; kTsServeSeriesCount series): wire_errors,
+  /// Serve-RPC block (kTsServeSeriesCount series): wire_errors,
   /// retry_after_us (gauge), rpc_finds_issued, rpc_finds_done,
   /// rpc_deadline_misses, rpc_find_attempts — the rest of
   /// stats::IngestCounters. Zero outside vinestalk_served runs.
@@ -99,20 +87,13 @@ enum TelemetrySeries : std::size_t {
 };
 
 struct TelemetryHeader {
-  std::uint32_t version = kTelemetryFormatVersion;
-  std::uint32_t flags = 0;
   std::int64_t cadence_us = 0;
-  std::uint32_t reserved = 0;
   std::uint32_t max_level = 0;
   std::uint32_t series = 0;
 
-  /// Values per sample implied by the version (must equal `series`).
+  /// Values per sample the layout implies (must equal `series`).
   [[nodiscard]] std::uint32_t expected_series() const {
-    std::uint32_t n =
-        kTsFixedCount + 4 * (max_level + 1);
-    if (version < 2) n -= kTsIngestSeriesCount;  // v1 predates ingest block
-    if (version < 3) n -= kTsServeSeriesCount;   // v2 predates serve block
-    return n;
+    return kTsFixedCount + 4 * (max_level + 1);
   }
 };
 

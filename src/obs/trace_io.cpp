@@ -1,86 +1,54 @@
 #include "obs/trace_io.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
+#include "common/codec.hpp"
 #include "common/error.hpp"
 
 namespace vs::obs {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr char kEndMagic[8] = {'V', 'S', 'T', 'R', 'E', 'N', 'D', '1'};
+constexpr std::uint8_t kWorldTag = 1;
+constexpr std::uint8_t kEventsTag = 2;
+/// Events per kEventsTag frame: one recorder segment (512 KiB).
+constexpr std::size_t kFrameEvents = TraceRecorder::kSegmentEvents;
 
-/// On-disk record layout of format v2 (pre-OpId, 56 bytes). Field order
-/// matches today's TraceEvent prefix exactly.
-struct LegacyEvent56 {
-  std::int64_t time_us;
-  std::uint64_t seq;
-  std::uint64_t cause;
-  std::int64_t find;
-  std::int32_t a;
-  std::int32_t b;
-  std::int32_t target;
-  std::int32_t arg;
-  std::int16_t level;
-  std::uint8_t kind;
-  std::uint8_t msg;
-  std::int32_t extra;
+constexpr codec::TagRule kTags[] = {
+    {kWorldTag, 4, 4},
+    {kEventsTag, 4, 4 + kFrameEvents * sizeof(TraceEvent)},
 };
-static_assert(sizeof(LegacyEvent56) == 56);
-
-TraceEvent widen(const LegacyEvent56& l) {
-  return TraceEvent{.time_us = l.time_us,
-                    .seq = l.seq,
-                    .cause = l.cause,
-                    .find = l.find,
-                    .a = l.a,
-                    .b = l.b,
-                    .target = l.target,
-                    .arg = l.arg,
-                    .level = l.level,
-                    .kind = l.kind,
-                    .msg = l.msg,
-                    .extra = l.extra,
-                    .op = 0,
-                    .pad0 = 0};
-}
-
-template <class T>
-void put(std::ostream& os, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <class T>
-T get(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  VS_REQUIRE(is.good(), "truncated trace stream");
-  return v;
-}
+constexpr codec::Format kFormat{"VSTRACE1", kTraceFormatVersion, "VSTRACE1",
+                                kTags};
 
 }  // namespace
 
 void write_trace(std::ostream& os, const std::vector<WorldTrace>& worlds) {
-  os.write(kMagic, sizeof kMagic);
-  put<std::uint32_t>(os, kTraceFormatVersion);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(worlds.size()));
-  std::uint64_t total = 0;
+  std::string buf;
+  codec::put_header(buf, kFormat);
+  std::uint64_t frames = 0;
   for (const WorldTrace& w : worlds) {
-    put<std::uint32_t>(os, w.world);
-    put<std::uint32_t>(os, 0);  // reserved
-    put<std::uint64_t>(os, static_cast<std::uint64_t>(w.events.size()));
-    os.write(reinterpret_cast<const char*>(w.events.data()),
-             static_cast<std::streamsize>(w.events.size() *
-                                          sizeof(TraceEvent)));
-    total += w.events.size();
+    std::size_t at = codec::begin_frame(buf, kWorldTag);
+    codec::put(buf, w.world);
+    codec::end_frame(buf, at);
+    ++frames;
+    for (std::size_t i = 0; i < w.events.size(); i += kFrameEvents) {
+      const std::size_t n = std::min(kFrameEvents, w.events.size() - i);
+      at = codec::begin_frame(buf, kEventsTag);
+      codec::put(buf, static_cast<std::uint32_t>(n));
+      buf.append(reinterpret_cast<const char*>(w.events.data() + i),
+                 n * sizeof(TraceEvent));
+      codec::end_frame(buf, at);
+      ++frames;
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
   }
-  put<std::uint64_t>(os, total);
-  os.write(kEndMagic, sizeof kEndMagic);
+  codec::put_trailer(buf, frames);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_trace_file(const std::string& path,
@@ -96,60 +64,19 @@ void write_trace_file(const std::string& path, const TraceRecorder& recorder) {
 }
 
 std::vector<WorldTrace> read_trace(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof magic);
-  VS_REQUIRE(is.good() && std::memcmp(magic, kMagic, sizeof magic) == 0,
-             "not a VSTRACE1 trace file");
-  const auto version = get<std::uint32_t>(is);
-  VS_REQUIRE(version == 2 || version == kTraceFormatVersion,
-             "unsupported trace format version "
-                 << version << " (this build reads v2–v" << kTraceFormatVersion
-                 << "; re-record the trace)");
-  const std::size_t record_size =
-      version >= 3 ? sizeof(TraceEvent) : sizeof(LegacyEvent56);
-  const auto world_count = get<std::uint32_t>(is);
   std::vector<WorldTrace> worlds;
-  worlds.reserve(world_count);
-  std::uint64_t total = 0;
-  for (std::uint32_t i = 0; i < world_count; ++i) {
-    WorldTrace w;
-    w.world = get<std::uint32_t>(is);
-    (void)get<std::uint32_t>(is);  // reserved
-    const auto count = get<std::uint64_t>(is);
-    // An implausible count is header corruption, not a real section — fail
-    // before attempting a multi-gigabyte resize.
-    VS_REQUIRE(count <= (std::uint64_t{1} << 32),
-               "corrupt trace stream: world " << w.world << " claims "
-                                              << count << " events");
-    w.events.resize(count);
-    if (version >= 3) {
-      is.read(reinterpret_cast<char*>(w.events.data()),
-              static_cast<std::streamsize>(count * record_size));
-    } else {
-      std::vector<LegacyEvent56> legacy(count);
-      is.read(reinterpret_cast<char*>(legacy.data()),
-              static_cast<std::streamsize>(count * record_size));
-      for (std::size_t j = 0; j < count; ++j) w.events[j] = widen(legacy[j]);
+  codec::read_frames(is, kFormat, [&](std::uint8_t tag, codec::Reader& r) {
+    if (tag == kWorldTag) {
+      worlds.push_back(WorldTrace{r.get<std::uint32_t>(), {}});
+      return;
     }
-    VS_REQUIRE(is.good() && is.gcount() == static_cast<std::streamsize>(
-                                               count * record_size),
-               "truncated trace stream: world " << w.world << " declares "
-                                                << count
-                                                << " events but the file "
-                                                   "ends early");
-    total += count;
-    worlds.push_back(std::move(w));
-  }
-  const auto declared_total = get<std::uint64_t>(is);
-  char end_magic[8];
-  is.read(end_magic, sizeof end_magic);
-  VS_REQUIRE(is.good() && is.gcount() == sizeof end_magic &&
-                 std::memcmp(end_magic, kEndMagic, sizeof end_magic) == 0,
-             "truncated trace stream: missing VSTREND1 trailer (file cut "
-             "short or not fully written)");
-  VS_REQUIRE(declared_total == total,
-             "corrupt trace stream: trailer declares "
-                 << declared_total << " events, sections hold " << total);
+    VS_REQUIRE(!worlds.empty(),
+               "corrupt VSTRACE1 stream: events before any world frame");
+    std::vector<TraceEvent>& events = worlds.back().events;
+    const std::size_t n = r.get_count(sizeof(TraceEvent));
+    events.resize(events.size() + n);
+    r.get_array(events.data() + events.size() - n, n);
+  });
   return worlds;
 }
 

@@ -1,27 +1,17 @@
 #pragma once
 // Trace file format: the bench/CLI artifact the vinestalk_trace tool reads.
 //
-// Layout (all integers little-endian native, the build's own byte order —
-// traces are run artifacts like BENCH_*.json, not an interchange format):
+// Layout: the shared frame layout of common/codec.hpp (magic "VSTRACE1",
+// CRC32C-checked frames, a counted trailer) with two frame types:
 //
-//   bytes 0..7   magic "VSTRACE1"
-//   u32          format version (kTraceFormatVersion)
-//   u32          world count
-//   per world:   u32 world index, u32 reserved(0), u64 event count,
-//                count × TraceEvent (raw 64-byte records)
-//   trailer:     u64 total event count (sum over worlds), bytes "VSTREND1"
+//   type 1 world:   u32 world index — starts the next world's section
+//   type 2 events:  u32 count, count × TraceEvent (raw 64-byte records),
+//                   at most one recorder segment (8192 events) per frame;
+//                   appended to the current world
 //
-// Version history: v2 recorded 56-byte events (no op field); v3 appends
-// the 32-bit OpId plus explicit padding. The reader still accepts v2
-// traces, widening each record with op = 0 (background), so pre-ledger
-// artifacts remain auditable — they just attribute everything to
-// background.
-//
-// The trailer (format v2) makes truncation and header corruption
-// detectable: a reader that consumed every declared world must land
-// exactly on a trailer whose count matches what it read, so a short or
-// bit-flipped file fails loudly instead of yielding a silently short
-// trace. vinestalk_trace surfaces these as diagnostics with exit 1.
+// A short or bit-flipped file fails loudly instead of yielding a silently
+// short or altered trace; vinestalk_trace surfaces these as diagnostics
+// with exit 1.
 //
 // A multi-trial sweep writes one world section per trial, in trial-index
 // order; because every TraceEvent derives from world-local state only, the
@@ -36,7 +26,7 @@
 
 namespace vs::obs {
 
-inline constexpr std::uint32_t kTraceFormatVersion = 3;
+inline constexpr std::uint32_t kTraceFormatVersion = 4;
 
 /// One world's (trial's) events, tagged with its trial index.
 struct WorldTrace {
@@ -50,7 +40,8 @@ void write_trace_file(const std::string& path,
 /// Single-world convenience (quickstart, the CLI's `trace` command).
 void write_trace_file(const std::string& path, const TraceRecorder& recorder);
 
-/// Throws vs::Error on bad magic/version/truncation.
+/// Throws vs::Error on any malformation: bad magic or version, a checksum
+/// mismatch, truncation.
 [[nodiscard]] std::vector<WorldTrace> read_trace(std::istream& is);
 [[nodiscard]] std::vector<WorldTrace> read_trace_file(const std::string& path);
 

@@ -1,207 +1,87 @@
 #include "serve/ingest_io.hpp"
 
-#include <cstring>
-#include <iterator>
-#include <type_traits>
-
 #include "common/error.hpp"
 
 namespace vs::serve {
 
 namespace {
 
-constexpr char kMagic[8] = {'V', 'S', 'I', 'N', 'G', 'E', 'S', 'T'};
-constexpr char kEndMagic[8] = {'V', 'S', 'I', 'N', 'G', 'E', 'N', 'D'};
-constexpr std::uint8_t kFrameMarker = 0xB7;
-constexpr std::uint8_t kTrailerMarker = 0x7B;
-constexpr std::uint16_t kUpdateLen = 16;
-constexpr std::uint16_t kRoundLen = 8;
-constexpr std::uint16_t kFindLen = 24;
+using Type = IngestFrame::Type;
 
-template <class T>
-void put(std::string& buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof(T));
-}
+constexpr codec::TagRule kTags[] = {
+    {static_cast<std::uint8_t>(Type::kUpdate), 16, 16},
+    {static_cast<std::uint8_t>(Type::kRound), 8, 8},
+    {static_cast<std::uint8_t>(Type::kFind), 24, 24},
+};
+constexpr codec::Format kFormat{"VSINGEST", kIngestFormatVersion, "VSINGEST1",
+                                kTags};
 
-template <class T>
-T get_raw(const char* p) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-std::uint16_t payload_len(IngestFrame::Type type) {
-  switch (type) {
-    case IngestFrame::Type::kUpdate: return kUpdateLen;
-    case IngestFrame::Type::kRound: return kRoundLen;
-    case IngestFrame::Type::kFind: return kFindLen;
-  }
-  return 0;
-}
-
-void encode_payload(std::string& buf, const IngestFrame& frame) {
-  switch (frame.type) {
-    case IngestFrame::Type::kUpdate:
-      put(buf, frame.update.object);
-      put(buf, frame.update.x);
-      put(buf, frame.update.y);
+/// The format's length rules admit only these three types, each at its
+/// exact payload size, so decoding cannot run short.
+IngestFrame decode(std::uint8_t tag, codec::Reader& r) {
+  IngestFrame f;
+  f.type = static_cast<Type>(tag);
+  switch (f.type) {
+    case Type::kUpdate:
+      f.update.object = r.get<std::uint64_t>();
+      f.update.x = r.get<std::int32_t>();
+      f.update.y = r.get<std::int32_t>();
       break;
-    case IngestFrame::Type::kRound:
-      put(buf, frame.round.upto_us);
+    case Type::kRound:
+      f.round.upto_us = r.get<std::int64_t>();
       break;
-    case IngestFrame::Type::kFind:
-      put(buf, frame.find.object);
-      put(buf, frame.find.x);
-      put(buf, frame.find.y);
-      put(buf, frame.find.deadline_us);
+    case Type::kFind:
+      f.find.object = r.get<std::uint64_t>();
+      f.find.x = r.get<std::int32_t>();
+      f.find.y = r.get<std::int32_t>();
+      f.find.deadline_us = r.get<std::int64_t>();
       break;
   }
-}
-
-std::uint8_t checksum(IngestFrame::Type type, std::uint16_t len,
-                      const char* payload) {
-  std::uint8_t sum = static_cast<std::uint8_t>(type);
-  sum = static_cast<std::uint8_t>(sum ^ (len & 0xFF));
-  sum = static_cast<std::uint8_t>(sum ^ (len >> 8));
-  for (std::uint16_t i = 0; i < len; ++i) {
-    sum = static_cast<std::uint8_t>(sum ^
-                                    static_cast<std::uint8_t>(payload[i]));
-  }
-  return sum;
+  return f;
 }
 
 }  // namespace
 
 void encode_ingest_header(std::string& out) {
-  out.append(kMagic, sizeof(kMagic));
-  put(out, kIngestFormatVersion);
+  codec::put_header(out, kFormat);
 }
 
 void encode_frame(std::string& out, const IngestFrame& frame) {
-  const std::uint16_t len = payload_len(frame.type);
-  out.push_back(static_cast<char>(kFrameMarker));
-  out.push_back(static_cast<char>(frame.type));
-  put(out, len);
-  const std::size_t payload_at = out.size();
-  encode_payload(out, frame);
-  out.push_back(static_cast<char>(
-      checksum(frame.type, len, out.data() + payload_at)));
+  const std::size_t at =
+      codec::begin_frame(out, static_cast<std::uint8_t>(frame.type));
+  switch (frame.type) {
+    case Type::kUpdate:
+      codec::put(out, frame.update.object);
+      codec::put(out, frame.update.x);
+      codec::put(out, frame.update.y);
+      break;
+    case Type::kRound:
+      codec::put(out, frame.round.upto_us);
+      break;
+    case Type::kFind:
+      codec::put(out, frame.find.object);
+      codec::put(out, frame.find.x);
+      codec::put(out, frame.find.y);
+      codec::put(out, frame.find.deadline_us);
+      break;
+  }
+  codec::end_frame(out, at);
 }
 
 void encode_ingest_trailer(std::string& out, std::uint64_t frames) {
-  out.push_back(static_cast<char>(kTrailerMarker));
-  put(out, frames);
-  out.append(kEndMagic, sizeof(kEndMagic));
+  codec::put_trailer(out, frames);
 }
 
-void IngestParser::feed(const char* data, std::size_t n) {
-  // Discard the consumed prefix before growing — the live buffer stays
-  // bounded by one feed() chunk plus a partial frame.
-  if (pos_ > 0) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-  buf_.append(data, n);
-}
-
-IngestParser::Status IngestParser::fail(const std::string& why) {
-  state_ = State::kError;
-  error_ = why;
-  return Status::kError;
-}
+IngestParser::IngestParser() : frames_(kFormat) {}
 
 IngestParser::Status IngestParser::next(IngestFrame& out) {
-  if (state_ == State::kError) return Status::kError;
-  const char* base = buf_.data();
-  std::size_t avail = buf_.size() - pos_;
-  if (state_ == State::kHeader) {
-    if (avail < sizeof(kMagic) + sizeof(std::uint32_t)) {
-      return Status::kNeedMore;
-    }
-    if (std::memcmp(base + pos_, kMagic, sizeof(kMagic)) != 0) {
-      return fail("not a VSINGEST1 stream (bad magic)");
-    }
-    const auto version =
-        get_raw<std::uint32_t>(base + pos_ + sizeof(kMagic));
-    if (version != kIngestFormatVersion) {
-      return fail("unsupported VSINGEST version " + std::to_string(version));
-    }
-    pos_ += sizeof(kMagic) + sizeof(std::uint32_t);
-    avail -= sizeof(kMagic) + sizeof(std::uint32_t);
-    state_ = State::kFrames;
+  codec::FrameParser::Frame frame;
+  const Status st = frames_.next(frame);
+  if (st == Status::kFrame) {
+    codec::Reader r(frame.payload, kFormat.name);
+    out = decode(frame.tag, r);
   }
-  if (state_ == State::kDone) {
-    if (avail != 0) return fail("bytes after VSINGEST trailer");
-    return Status::kEnd;
-  }
-  if (avail == 0) return Status::kNeedMore;
-  const auto marker = static_cast<std::uint8_t>(base[pos_]);
-  if (marker == kTrailerMarker) {
-    const std::size_t want = 1 + sizeof(std::uint64_t) + sizeof(kEndMagic);
-    if (avail < want) return Status::kNeedMore;
-    const auto n = get_raw<std::uint64_t>(base + pos_ + 1);
-    if (std::memcmp(base + pos_ + 1 + sizeof(std::uint64_t), kEndMagic,
-                    sizeof(kEndMagic)) != 0) {
-      return fail("corrupt VSINGEST trailer end magic");
-    }
-    if (n != frames_) {
-      return fail("VSINGEST trailer count " + std::to_string(n) + " != " +
-                  std::to_string(frames_) + " frames parsed");
-    }
-    pos_ += want;
-    state_ = State::kDone;
-    if (buf_.size() - pos_ != 0) return fail("bytes after VSINGEST trailer");
-    return Status::kEnd;
-  }
-  if (marker != kFrameMarker) {
-    return fail("bad VSINGEST frame marker");
-  }
-  // marker + type + len.
-  if (avail < 4) return Status::kNeedMore;
-  const auto type_byte = static_cast<std::uint8_t>(base[pos_ + 1]);
-  if (type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kUpdate) &&
-      type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kRound) &&
-      type_byte != static_cast<std::uint8_t>(IngestFrame::Type::kFind)) {
-    return fail("unknown VSINGEST frame type " + std::to_string(type_byte));
-  }
-  const auto type = static_cast<IngestFrame::Type>(type_byte);
-  const auto len = get_raw<std::uint16_t>(base + pos_ + 2);
-  if (len != payload_len(type)) {
-    return fail("VSINGEST frame length " + std::to_string(len) +
-                " does not match type (want " +
-                std::to_string(payload_len(type)) + ")");
-  }
-  const std::size_t want = 4 + static_cast<std::size_t>(len) + 1;
-  if (avail < want) return Status::kNeedMore;
-  const char* payload = base + pos_ + 4;
-  const auto sum = static_cast<std::uint8_t>(payload[len]);
-  if (sum != checksum(type, len, payload)) {
-    return fail("VSINGEST frame checksum mismatch");
-  }
-  out = IngestFrame{};
-  out.type = type;
-  switch (type) {
-    case IngestFrame::Type::kUpdate:
-      out.update.object = get_raw<std::uint64_t>(payload);
-      out.update.x = get_raw<std::int32_t>(payload + 8);
-      out.update.y = get_raw<std::int32_t>(payload + 12);
-      break;
-    case IngestFrame::Type::kRound:
-      out.round.upto_us = get_raw<std::int64_t>(payload);
-      break;
-    case IngestFrame::Type::kFind:
-      out.find.object = get_raw<std::uint64_t>(payload);
-      out.find.x = get_raw<std::int32_t>(payload + 8);
-      out.find.y = get_raw<std::int32_t>(payload + 12);
-      out.find.deadline_us = get_raw<std::int64_t>(payload + 16);
-      break;
-  }
-  pos_ += want;
-  ++frames_;
-  return Status::kFrame;
+  return st;
 }
 
 IngestWriter::IngestWriter(const std::string& path) : path_(path) {
@@ -233,32 +113,11 @@ void IngestWriter::finish() {
 }
 
 IngestFile read_ingest_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  VS_REQUIRE(in.good(), "cannot open ingest file " << path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  IngestParser parser;
-  parser.feed(data.data(), data.size());
   IngestFile f;
-  for (;;) {
-    IngestFrame frame;
-    switch (parser.next(frame)) {
-      case IngestParser::Status::kFrame:
-        f.frames.push_back(frame);
-        break;
-      case IngestParser::Status::kEnd:
-        return f;
-      case IngestParser::Status::kNeedMore:
-        VS_REQUIRE(false, "truncated VSINGEST stream " << path
-                                                       << " (no trailer)");
-        break;
-      case IngestParser::Status::kError:
-        VS_REQUIRE(false,
-                   "malformed VSINGEST stream " << path << ": "
-                                                << parser.error());
-        break;
-    }
-  }
+  codec::read_file(path, kFormat, [&f](std::uint8_t tag, codec::Reader& r) {
+    f.frames.push_back(decode(tag, r));
+  });
+  return f;
 }
 
 }  // namespace vs::serve

@@ -2,34 +2,17 @@
 // VSINGEST1 — the compact binary GPS-update wire format of the streaming
 // ingest daemon (src/serve/server.hpp).
 //
-// A stream is a header, a run of framed records, and a trailer:
+// A stream is the shared frame layout of common/codec.hpp (magic
+// "VSINGEST", one CRC32C-checked frame per record, a counted trailer),
+// with one frame type per record:
 //
-//   "VSINGEST"            8-byte magic
-//   u32 version           kIngestFormatVersion
-//   --- per frame ---
-//   u8  0xB7              frame marker
-//   u8  type              1 = update, 2 = round, 3 = find
-//   u16 len               payload length (fixed per type; anything else
-//                         is an over-length/under-length frame → error)
-//   payload               type-specific, below
-//   u8  checksum          XOR of type, both len bytes, and every payload
-//                         byte — one flipped bit anywhere in the frame is
-//                         detected
-//   --- trailer ---
-//   u8  0x7B              trailer marker
-//   u64 frame count
-//   "VSINGEND"            8-byte end magic
-//
-// Payloads (native-endian, same-machine write/read like every other
-// vinestalk artifact):
-//
-//   update:  u64 object, i32 x, i32 y        (16 bytes)
+//   type 1 update:  u64 object, i32 x, i32 y        (16 bytes)
 //            a GPS fix: tracked object `object` observed at grid cell
 //            (x, y)
-//   find:    u64 object, i32 x, i32 y, i64 deadline_us   (24 bytes)
+//   type 3 find:    u64 object, i32 x, i32 y, i64 deadline_us   (24 bytes)
 //            a deadline-bounded query RPC issued from grid cell (x, y);
 //            captured so query traffic replays byte-identically too
-//   round:   i64 upto_us                      (8 bytes)
+//   type 2 round:   i64 upto_us                      (8 bytes)
 //            a scheduler-round boundary: "every frame before me was
 //            drained in one batch; advance virtual time to upto_us".
 //            Live captures write one per drain round — including empty
@@ -40,21 +23,24 @@
 //            particular) re-execute at the same virtual times and the
 //            world trace comes out byte-identical.
 //
-// Reading is strict and mirrors obs/trace_io: unknown version, bad
-// marker, wrong per-type length, checksum mismatch, or a missing/short
-// trailer all throw (file reader) or park the parser in a terminal error
-// state (incremental reader) — a binary stream cannot be resynchronized
-// after desync, so the first malformed byte ends ingestion with exit-1
-// error accounting rather than risking a partially applied frame.
+// Each type has a fixed payload length. Reading is strict: unknown
+// version or type, a wrong length, a checksum mismatch, or a missing or
+// short trailer all throw (file reader) or park the parser in a terminal
+// error state (incremental reader) — a binary stream cannot be
+// resynchronized after desync, so the first malformed byte ends ingestion
+// with exit-1 error accounting rather than risking a partially applied
+// frame.
 
 #include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
+
 namespace vs::serve {
 
-inline constexpr std::uint32_t kIngestFormatVersion = 1;
+inline constexpr std::uint32_t kIngestFormatVersion = 2;
 
 /// One GPS fix off the wire.
 struct UpdateFrame {
@@ -109,29 +95,21 @@ void encode_ingest_trailer(std::string& out, std::uint64_t frames);
 /// consistent; bytes after it are an error.
 class IngestParser {
  public:
-  enum class Status : std::uint8_t {
-    kNeedMore,  // no whole frame buffered yet
-    kFrame,     // `out` holds the next frame
-    kEnd,       // trailer consumed, stream complete
-    kError,     // malformed stream; terminal
-  };
+  using Status = codec::FrameParser::Status;
 
-  void feed(const char* data, std::size_t n);
+  IngestParser();
+
+  void feed(const char* data, std::size_t n) { frames_.feed(data, n); }
   Status next(IngestFrame& out);
 
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] std::uint64_t frames_parsed() const { return frames_; }
-  [[nodiscard]] bool complete() const { return state_ == State::kDone; }
+  [[nodiscard]] const std::string& error() const { return frames_.error(); }
+  [[nodiscard]] std::uint64_t frames_parsed() const {
+    return frames_.frames();
+  }
+  [[nodiscard]] bool complete() const { return frames_.done(); }
 
  private:
-  enum class State : std::uint8_t { kHeader, kFrames, kDone, kError };
-  Status fail(const std::string& why);
-
-  std::string buf_;
-  std::size_t pos_ = 0;  // consumed prefix of buf_
-  State state_ = State::kHeader;
-  std::string error_;
-  std::uint64_t frames_ = 0;
+  codec::FrameParser frames_;
 };
 
 /// Streaming writer for capture files: header on construction, frames via

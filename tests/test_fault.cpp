@@ -4,7 +4,7 @@
 // stabilizer converges to the same pointer state as the global-view
 // oracle on identical seeded damage, tick idempotence on a healthy
 // structure, and the recovery-deadline + incident-replay pipeline over
-// the v2 scenario fields.
+// the scenario's fault-plan and pacing fields.
 
 #include <gtest/gtest.h>
 

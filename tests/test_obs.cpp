@@ -473,20 +473,31 @@ TEST(TraceIO, BadMagicThrows) {
 
 TEST(TraceTool, TruncatedFileExitsOneWithDiagnostic) {
   const std::string path = ::testing::TempDir() + "vs_truncated_trace.bin";
+  std::ostringstream os;
+  obs::WorldTrace w;
+  w.events = {event(obs::TraceKind::kSend, 0, 0, kGrow, 7)};
+  obs::write_trace(os, {w});
+  const std::string bytes = os.str();
   {
-    std::ostringstream os;
-    obs::WorldTrace w;
-    w.events = {event(obs::TraceKind::kSend, 0, 0, kGrow, 7)};
-    obs::write_trace(os, {w});
-    const std::string bytes = os.str();
     std::ofstream f(path, std::ios::binary);
     f.write(bytes.data(),
             static_cast<std::streamsize>(bytes.size() / 2));
   }
   int code = 0;
-  const std::string out = run_tool("summary " + path, &code);
+  std::string out = run_tool("summary " + path, &code);
   EXPECT_EQ(code, 1) << out;
   EXPECT_NE(out.find("truncated"), std::string::npos) << out;
+  // One flipped bit mid-file: full length, but the frame CRC catches it.
+  {
+    std::string flipped = bytes;
+    flipped[flipped.size() / 2] =
+        static_cast<char>(flipped[flipped.size() / 2] ^ 0x10);
+    std::ofstream f(path, std::ios::binary);
+    f.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+  }
+  out = run_tool("check " + path, &code);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("checksum"), std::string::npos) << out;
   std::remove(path.c_str());
 }
 

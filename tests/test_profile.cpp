@@ -325,7 +325,6 @@ TEST(Profile, TopProfilePanelGoldenFrame) {
   // pure function of the file bytes, pinned to the byte.
   const std::string stream = testing::TempDir() + "top_prof.vst";
   obs::TelemetryHeader h;
-  h.version = obs::kTelemetryFormatVersion;
   h.cadence_us = 1000;
   h.series = h.expected_series();
   obs::TelemetryWriter(stream, h).finish();

@@ -2,8 +2,8 @@
 // strictness, bounded SPSC backpressure, the three-tier degradation
 // ladder, the exact conservation identity
 // (ingested == applied + suppressed + dropped), deterministic
-// capture/replay, the deadline/backoff find RPC, the VSTELEM1 v2 ingest
-// series (with v1 widening), and the vinestalk_served binary end to end.
+// capture/replay, the deadline/backoff find RPC, the VSTELEM1 ingest
+// series, and the vinestalk_served binary end to end.
 
 #include <gtest/gtest.h>
 
@@ -193,8 +193,8 @@ TEST(IngestIoHostility, CorruptPayloadFailsChecksumAndIsTerminal) {
   std::string bytes = encode_stream({update_frame(0, 1, 1),
                                      update_frame(0, 2, 2)});
   // Flip one payload bit of the first frame: header is 12 bytes, then
-  // marker/type/len (4) precede the payload.
-  bytes[16] = static_cast<char>(bytes[16] ^ 0x01);
+  // type/len (5) precede the payload.
+  bytes[17] = static_cast<char>(bytes[17] ^ 0x01);
   serve::IngestParser p;
   p.feed(bytes.data(), bytes.size());
   std::size_t frames = 0;
@@ -208,7 +208,7 @@ TEST(IngestIoHostility, CorruptPayloadFailsChecksumAndIsTerminal) {
 
 TEST(IngestIoHostility, RejectsOverLengthFrame) {
   std::string bytes = encode_stream({update_frame(0, 1, 1)});
-  bytes[14] = 32;  // len u16 low byte: claim 32 payload bytes, not 16
+  bytes[13] = 32;  // len u32 low byte: claim 32 payload bytes, not 16
   serve::IngestParser p;
   p.feed(bytes.data(), bytes.size());
   EXPECT_EQ(drain(p), serve::IngestParser::Status::kError);
@@ -217,7 +217,7 @@ TEST(IngestIoHostility, RejectsOverLengthFrame) {
 
 TEST(IngestIoHostility, RejectsUnknownFrameType) {
   std::string bytes = encode_stream({update_frame(0, 1, 1)});
-  bytes[13] = 9;  // type byte
+  bytes[12] = 9;  // type byte
   serve::IngestParser p;
   p.feed(bytes.data(), bytes.size());
   EXPECT_EQ(drain(p), serve::IngestParser::Status::kError);
@@ -232,8 +232,12 @@ TEST(IngestIoHostility, TruncatedStreamThrowsOnFileRead) {
 }
 
 TEST(IngestIoHostility, RejectsTrailerCountMismatch) {
-  std::string bytes = encode_stream({update_frame(0, 1, 1)});
-  bytes[bytes.size() - 9] = 5;  // u64 count low byte (before end magic)
+  // A well-formed trailer frame (its CRC is valid) that claims 5 frames
+  // after the stream carried 1.
+  std::string bytes;
+  serve::encode_ingest_header(bytes);
+  serve::encode_frame(bytes, update_frame(0, 1, 1));
+  serve::encode_ingest_trailer(bytes, 5);
   serve::IngestParser p;
   p.feed(bytes.data(), bytes.size());
   EXPECT_EQ(drain(p), serve::IngestParser::Status::kError);
@@ -685,67 +689,6 @@ TEST(ServeTelemetry, SeriesNamesIncludeIngestBlock) {
   EXPECT_EQ(names[obs::kTsIngestBase + 3], "ingest_dropped");
   EXPECT_EQ(names[obs::kTsIngestBase + 6], "ingest_shed_tier3_entries");
   EXPECT_EQ(names[obs::kTsIngestBase + 7], "ingest_queue_depth_peak");
-}
-
-// A handcrafted v1 stream (the PR-7 layout, no ingest and no serve
-// block) must widen to the current layout with both blocks zeroed —
-// the VSTRACE1 v2→v3 idiom.
-TEST(ServeTelemetry, V1StreamWidensWithZeroedIngestSeries) {
-  std::string bytes = "VSTELEM1";
-  const auto put32 = [&](std::uint32_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  const auto put64 = [&](std::uint64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  const auto varint = [&](std::int64_t v) {
-    auto u = static_cast<std::uint64_t>((v << 1) ^ (v >> 63));  // zigzag
-    do {
-      std::uint8_t b = u & 0x7F;
-      u >>= 7;
-      if (u != 0) b |= 0x80;
-      bytes.push_back(static_cast<char>(b));
-    } while (u != 0);
-  };
-  const std::uint32_t max_level = 1;
-  const std::uint32_t v1_series = obs::kTsFixedCount -
-                                  obs::kTsIngestSeriesCount -
-                                  obs::kTsServeSeriesCount +
-                                  4 * (max_level + 1);
-  put32(1);  // version: the pre-ingest layout
-  put32(0);  // flags
-  put64(10'000);  // cadence_us
-  put32(0);  // reserved
-  put32(max_level);
-  put32(v1_series);
-  bytes.push_back(static_cast<char>(0xA5));
-  varint(10'000);  // t_us delta
-  for (std::uint32_t i = 0; i < v1_series; ++i) {
-    varint(static_cast<std::int64_t>(i));  // recognizable ramp
-  }
-  bytes.push_back(static_cast<char>(0x5A));
-  put64(1);  // sample count
-  bytes += "VSTELEND";
-
-  const std::string path = tmp_path("telemetry_v1.vstelem");
-  spit(path, bytes);
-  const obs::TelemetryFile f = obs::read_telemetry_file(path, true);
-  EXPECT_EQ(f.header.version, obs::kTelemetryFormatVersion);
-  EXPECT_EQ(f.header.series, v1_series + obs::kTsIngestSeriesCount +
-                                 obs::kTsServeSeriesCount);
-  ASSERT_EQ(f.samples.size(), 1u);
-  const obs::TelemetrySample& s = f.samples[0];
-  ASSERT_EQ(s.values.size(), f.header.series);
-  for (std::uint32_t i = 0; i < obs::kTsIngestSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsIngestBase + i], 0) << "ingest series " << i;
-  }
-  for (std::uint32_t i = 0; i < obs::kTsServeSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsServeBase + i], 0) << "serve series " << i;
-  }
-  // The pre-ingest prefix and the per-level suffix keep their values.
-  EXPECT_EQ(s.values[obs::kTsAuditBase + 3], obs::kTsAuditBase + 3);
-  EXPECT_EQ(s.values[obs::kTsFixedCount],
-            static_cast<std::int64_t>(obs::kTsIngestBase));
 }
 
 TEST(ServeCounters, IngestBlockIsGatedAndAccumulates) {

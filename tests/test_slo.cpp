@@ -3,8 +3,8 @@
 // RED counters and latency histograms, the multi-window burn-rate
 // evaluator and its VSINCID1 incidents (spec + window state + exemplars),
 // the VSSLO1 sidecar round-trip and its JSON / Prometheus / CSV
-// renderings, the VSTELEM1 v3 serve-RPC series (with v2 widening), and
-// the quarantine doctrine end to end: every deterministic artifact of
+// renderings, the VSTELEM1 serve-RPC series, and the quarantine
+// doctrine end to end: every deterministic artifact of
 // vinestalk_served is byte-identical SLO on vs off, while a tight spec
 // fires a burn-rate incident whose exemplar OpId replays exactly.
 
@@ -159,6 +159,10 @@ TEST(SloSpec, ParseIsStrict) {
       "slo v1\nburn fast 0.00 slow 6.00\nend\n",
       // a decorated end line is not an end line
       "slo v1\nend now\n",
+      // numbers past what a spec can hold without overflow
+      "slo v1\nobjective find p99 <= 99999999999999999999ns\nend\n",
+      "slo v1\nobjective find p99 <= 9999999999999ms\nend\n",
+      "slo v1\navailability >= 999999999999999999.0\nend\n",
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)obs::SloSpec::parse(text), Error) << text;
@@ -276,6 +280,39 @@ TEST(SloMonitor, BurnRateFiresOnceWhenBothWindowsExceed) {
       << "a 100% violation rate leaves no budget";
 }
 
+TEST(SloMonitor, FindIncidentCarriesFindExemplarBehindSlowerUpdates) {
+  // Eight update spans slower than any find would fill a shared exemplar
+  // list; the find objective's incident must still carry the find that
+  // breached it.
+  obs::SloMonitor mon(obs::SloSpec::parse(
+      "slo v1\n"
+      "objective find p99 <= 1000000ns\n"
+      "window short 100us long 1000us\n"
+      "burn fast 1.00 slow 1.00\n"
+      "clock virtual\n"
+      "end\n"));
+  std::vector<obs::IncidentBundle> fired;
+  mon.set_incident_sink(
+      [&](const obs::IncidentBundle& b) { fired.push_back(b); });
+  const std::uint64_t now = obs::SloMonitor::now_ns();
+  for (int i = 0; i < 8; ++i) {
+    mon.close_update(now - 1'000'000'000, /*t_us=*/10);  // ~1 s each
+  }
+  const obs::OpId op = obs::make_op(obs::OpClass::kFindTrace, 3);
+  mon.close_find(now - 5'000'000, /*t_us=*/20, op, /*distance=*/4,
+                 /*deadline_missed=*/false);  // ~5 ms > 1 ms target
+  ASSERT_EQ(fired.size(), 1u);
+  ASSERT_FALSE(fired[0].slo_exemplars.empty());
+  EXPECT_EQ(fired[0].slo_exemplars[0].op, op);
+  for (const obs::SloExemplar& e : fired[0].slo_exemplars) {
+    EXPECT_EQ(e.cls, static_cast<std::uint8_t>(obs::SloClass::kFind));
+  }
+  // The report still lists every class's exemplars, slowest first.
+  const obs::SloReport rep = mon.report();
+  ASSERT_EQ(rep.exemplars.size(), 9u);
+  EXPECT_EQ(rep.exemplars.back().op, op);
+}
+
 TEST(SloMonitor, AvailabilityObjectiveBurnsOnErrors) {
   obs::SloSpec spec = obs::SloSpec::parse(
       "slo v1\n"
@@ -380,7 +417,7 @@ TEST(SloSidecar, ReaderRejectsCorruptFiles) {
   const std::string path = tmp_path("slo_corrupt.vsslo");
   obs::write_slo_file(path, sample_report());
   const std::string good = slurp(path);
-  // Truncation loses the VSSLOEND trailer.
+  // Truncation loses the trailer frame.
   spit(path, good.substr(0, good.size() / 2));
   EXPECT_THROW((void)obs::read_slo_file(path), Error);
   // Bad magic.
@@ -552,68 +589,11 @@ TEST(SloTelemetry, ServeSeriesCarryRpcCounters) {
   EXPECT_EQ(s.values[obs::kTsServeBase + 5], ing.rpc_find_attempts);
   EXPECT_GE(ing.rpc_find_attempts, ing.rpc_finds_issued);
 
-  const obs::TelemetryHeader h{.version = obs::kTelemetryFormatVersion,
-                               .max_level = 2};
+  const obs::TelemetryHeader h{.max_level = 2};
   const std::vector<std::string> names = obs::telemetry_series_names(h);
   EXPECT_EQ(names[obs::kTsServeBase + 0], "ingest_wire_errors");
   EXPECT_EQ(names[obs::kTsServeBase + 1], "ingest_retry_after_us");
   EXPECT_EQ(names[obs::kTsServeBase + 5], "ingest_rpc_find_attempts");
-}
-
-// A handcrafted v2 stream (the PR-9 layout: ingest block, no serve block)
-// must widen to v3 with zeroed serve series — the v1->v2 idiom again.
-TEST(SloTelemetry, V2StreamWidensWithZeroedServeSeries) {
-  std::string bytes = "VSTELEM1";
-  const auto put32 = [&](std::uint32_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 4);
-  };
-  const auto put64 = [&](std::uint64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), 8);
-  };
-  const auto varint = [&](std::int64_t v) {
-    auto u = static_cast<std::uint64_t>((v << 1) ^ (v >> 63));  // zigzag
-    do {
-      std::uint8_t b = u & 0x7F;
-      u >>= 7;
-      if (u != 0) b |= 0x80;
-      bytes.push_back(static_cast<char>(b));
-    } while (u != 0);
-  };
-  const std::uint32_t max_level = 1;
-  const std::uint32_t v2_series =
-      obs::kTsFixedCount - obs::kTsServeSeriesCount + 4 * (max_level + 1);
-  put32(2);  // version: ingest block present, serve block absent
-  put32(0);  // flags
-  put64(10'000);  // cadence_us
-  put32(0);  // reserved
-  put32(max_level);
-  put32(v2_series);
-  bytes.push_back(static_cast<char>(0xA5));
-  varint(10'000);  // t_us delta
-  for (std::uint32_t i = 0; i < v2_series; ++i) {
-    varint(static_cast<std::int64_t>(i));  // recognizable ramp
-  }
-  bytes.push_back(static_cast<char>(0x5A));
-  put64(1);  // sample count
-  bytes += "VSTELEND";
-
-  const std::string path = tmp_path("telemetry_v2.vstelem");
-  spit(path, bytes);
-  const obs::TelemetryFile f = obs::read_telemetry_file(path, true);
-  EXPECT_EQ(f.header.version, obs::kTelemetryFormatVersion);
-  EXPECT_EQ(f.header.series, v2_series + obs::kTsServeSeriesCount);
-  ASSERT_EQ(f.samples.size(), 1u);
-  const obs::TelemetrySample& s = f.samples[0];
-  ASSERT_EQ(s.values.size(), f.header.series);
-  for (std::uint32_t i = 0; i < obs::kTsServeSeriesCount; ++i) {
-    EXPECT_EQ(s.values[obs::kTsServeBase + i], 0) << "serve series " << i;
-  }
-  // The prefix (incl. the v2 ingest block) keeps its values in place; the
-  // per-level suffix shifts up by the inserted serve block.
-  EXPECT_EQ(s.values[obs::kTsIngestBase + 3],
-            static_cast<std::int64_t>(obs::kTsIngestBase + 3));
-  EXPECT_EQ(s.values[obs::kTsFixedCount],
-            static_cast<std::int64_t>(obs::kTsServeBase));
 }
 
 // --------------------------------------------- the daemon, quarantined SLO

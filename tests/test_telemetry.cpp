@@ -1,6 +1,6 @@
 // The time-series telemetry subsystem: VSTELEM1 streams are byte-identical
-// at every --jobs value (the boundary-hook guarantee); the reader refuses
-// a header with nonzero flags or reserved word; the disabled sampler holds nothing and arms nothing; the in-memory ring keeps
+// at every --jobs value (the boundary-hook guarantee); the disabled
+// sampler holds nothing and arms nothing; the in-memory ring keeps
 // exactly the last K samples; the sliding-window bound audit raises its
 // incident mid-run — strictly before the run ends — and the bundle replays
 // exactly; vinestalk_top --once renders a golden frame; the Prometheus
@@ -82,32 +82,6 @@ TEST(Telemetry, StreamByteIdenticalAcrossJobs) {
   const std::vector<std::string> serial = sweep(1);
   EXPECT_FALSE(serial.front().empty());
   for (const int jobs : {2, 8}) EXPECT_EQ(sweep(jobs), serial) << jobs;
-}
-
-TEST(Telemetry, ReaderRejectsNonzeroFlagsOrReservedWord) {
-  // Header words that once announced an optional per-sample section must
-  // now be zero; a stream that sets either is refused, not misparsed.
-  const std::array<std::pair<std::uint32_t, std::uint32_t>, 3> cases{
-      {{1, 0}, {0, 2}, {1, 2}}};
-  for (const auto& [flags, reserved] : cases) {
-    const std::string path = testing::TempDir() + "telem_flags" +
-                             std::to_string(flags) + "_" +
-                             std::to_string(reserved) + ".vst";
-    obs::TelemetryHeader h;
-    h.flags = flags;
-    h.reserved = reserved;
-    h.cadence_us = 1000;
-    h.max_level = 1;
-    h.series = h.expected_series();
-    {
-      obs::TelemetryWriter writer(path, h);
-      writer.finish();
-    }
-    EXPECT_THROW((void)obs::read_telemetry_file(path, true), vs::Error)
-        << flags << "/" << reserved;
-    EXPECT_THROW((void)obs::read_telemetry_file(path, false), vs::Error)
-        << flags << "/" << reserved;
-  }
 }
 
 TEST(Telemetry, DisabledSamplerHoldsNothingAndArmsNothing) {
@@ -248,7 +222,7 @@ TEST(Telemetry, SlidingWindowAuditFiresMidRunAndReplaysExactly) {
   // run is still going, not at the final drain.
   EXPECT_LT(bundle->violation.time_us, end_us);
 
-  // v4 bundles are self-contained: the replay restores the window and
+  // Bundles are self-contained: the replay restores the window and
   // reproduces the violation at the same virtual time.
   const obs::ReplayResult replay = obs::replay_incident(*bundle);
   ASSERT_TRUE(replay.ran) << replay.message;

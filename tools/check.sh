@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge check: a plain build + full test suite (tracing compiled in,
-# with a traced quickstart run gated by `vinestalk_trace check`), then a
+# with a traced quickstart run gated by `vinestalk_trace check`, which
+# must also refuse the same trace with one byte flipped), then a
 # ThreadSanitizer build exercising the concurrency surface (the trial
 # pool, the single-writer log, and the observability merge paths) with
 # more workers than trials need, then a tracing-compiled-out build
@@ -31,7 +32,8 @@
 # daemon: a 2×-capacity load burst under a chaos fault plan must finish
 # incident-free with the conservation identity intact and the shed
 # ladder visible in the Prometheus snapshot, and its VSINGEST1 capture
-# must replay to a byte-identical world trace. An SLO stage pins
+# must replay to a byte-identical world trace, while a copy with one
+# byte flipped must be refused. An SLO stage pins
 # request-level observability: arming a spec must leave every
 # deterministic artifact (stdout, trace, telemetry, capture)
 # byte-identical to the unarmed run, a tight find-p99
@@ -64,6 +66,18 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="${JOBS:-$(nproc)}"
 stage="${1:-all}"
 
+# flip_byte SRC DST: copy SRC to DST with bit 4 of its middle byte flipped.
+flip_byte() {
+  local size mid byte
+  size="$(stat -c %s "$1")"
+  mid=$((size / 2))
+  byte="$(od -An -tu1 -j "$mid" -N1 "$1" | tr -d ' ')"
+  cp "$1" "$2"
+  # shellcheck disable=SC2059
+  printf "$(printf '\\%03o' $((byte ^ 16)))" |
+    dd of="$2" bs=1 seek="$mid" conv=notrunc status=none
+}
+
 run_plain() {
   echo "== stage 1: plain build (tracing on) + ctest + trace check =="
   cmake -B "$root/build-check" -S "$root" -DVINESTALK_TRACE=ON > /dev/null
@@ -75,7 +89,17 @@ run_plain() {
   VS_TRACE="$trace" "$root/build-check/examples/example_quickstart" > /dev/null
   "$root/build-check/tools/vinestalk_trace" check "$trace"
   "$root/build-check/tools/vinestalk_trace" summary "$trace" > /dev/null
-  rm -f "$trace"
+  # One flipped byte mid-trace must fail its frame checksum, not replay.
+  local rc=0
+  flip_byte "$trace" "$trace.flipped"
+  "$root/build-check/tools/vinestalk_trace" check "$trace.flipped" \
+    > "$trace.out" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "checksum" "$trace.out"; then
+    echo "FAIL: a bit-flipped trace was not refused by its checksum" \
+         "(exit $rc)" >&2
+    cat "$trace.out" >&2; exit 1
+  fi
+  rm -f "$trace" "$trace.flipped" "$trace.out"
 }
 
 run_tsan() {
@@ -471,6 +495,16 @@ EOF
     --replay "$dir/session.vsingest" --trace "$dir/replay.vst" > /dev/null
   cmp "$dir/live.vst" "$dir/replay.vst" || {
     echo "FAIL: replay trace differs from live" >&2; exit 1; }
+  # A capture with one flipped byte must be refused, not replayed.
+  local rc=0
+  flip_byte "$dir/session.vsingest" "$dir/flipped.vsingest"
+  "$root/build-check/tools/vinestalk_served" \
+    --side 27 --base 3 --objects 4 --queues 4 --queue-capacity 64 \
+    --replay "$dir/flipped.vsingest" > "$dir/flipped.out" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "FAIL: a bit-flipped capture replayed (exit $rc)" >&2
+    cat "$dir/flipped.out" >&2; exit 1
+  fi
   rm -rf "$dir"
   echo "Serve stage clean (overload incident-free, identity exact," \
        "capture replays byte-identically)."

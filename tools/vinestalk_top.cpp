@@ -134,10 +134,10 @@ void render(std::ostream& os, const std::string& path,
        << v(vs::obs::kTsIngestBase + 5) << " t3 "
        << v(vs::obs::kTsIngestBase + 6) << "; queue depth peak "
        << v(vs::obs::kTsIngestBase + 7) << "\n";
-    // Serve-RPC block (v3; older streams widen to zeros): reader-side
-    // wire errors ride the conservation story — frames that never became
-    // updates — and the tier-3 retry-after hint is the backpressure
-    // clients are being asked to honor.
+    // Serve-RPC block: reader-side wire errors ride the conservation
+    // story — frames that never became updates — and the tier-3
+    // retry-after hint is the backpressure clients are being asked to
+    // honor.
     os << "    wire errors " << v(vs::obs::kTsServeBase + 0)
        << "; tier-3 retry-after " << v(vs::obs::kTsServeBase + 1)
        << "us\n";
